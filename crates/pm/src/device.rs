@@ -5,16 +5,19 @@
 //!
 //! * [`PmDevice::write`] stores into a **volatile overlay** (the "CPU cache")
 //!   — visible to subsequent reads, but *not* yet durable;
-//! * [`PmDevice::persist`] (= `CLWB` + `SFENCE` in PMDK terms) copies a range
-//!   of the overlay onto the media, making it durable;
+//! * [`PmDevice::persist`] (= `CLWB` + `SFENCE` in PMDK terms) makes a range
+//!   of the overlay durable;
 //! * [`PmDevice::crash`] simulates a power failure: the overlay is discarded
 //!   and only persisted bytes survive. [`PmDevice::crash_torn`] additionally
 //!   models torn flushes at the 8-byte power-fail-atomicity granularity.
 //!
+//! The device holds a **single image**: the working bytes plus, for each
+//! unpersisted span, the media bytes it hides. Memory is one image of
+//! touched pages, and a persist only forgets saved bytes.
+//!
 //! Every operation charges its modelled latency (see [`LatencyModel`]) via
 //! the device's [`DeviceClock`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,13 +71,99 @@ impl fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
+/// An unpersisted run `[start, end)` and the media bytes it hides: the
+/// bytes as they were when the run first became dirty.
+struct Span {
+    start: usize,
+    end: usize,
+    media: Vec<u8>,
+}
+
 struct Inner {
-    /// Durable state (what survives a crash).
-    media: Box<[u8]>,
     /// Current state as seen by the CPU: media + unflushed writes.
     working: Box<[u8]>,
-    /// Unflushed ranges (start → end), kept merged and non-overlapping.
-    dirty: BTreeMap<usize, usize>,
+    /// Unflushed spans in address order. Each is a maximal run — no two
+    /// overlap or touch — so the media image is `working` with every
+    /// span's saved bytes laid back over it.
+    dirty: Vec<Span>,
+    /// Emptied `Span::media` buffers kept for reuse, so the steady state
+    /// of write → persist allocates nothing.
+    spare: Vec<Vec<u8>>,
+}
+
+/// Spare buffers kept, and the largest capacity worth keeping.
+const SPARE_BUFFERS: usize = 16;
+const SPARE_MAX_CAPACITY: usize = 1 << 20;
+
+fn recycle(spare: &mut Vec<Vec<u8>>, mut buf: Vec<u8>) {
+    if spare.len() < SPARE_BUFFERS && buf.capacity() <= SPARE_MAX_CAPACITY {
+        buf.clear();
+        spare.push(buf);
+    }
+}
+
+impl Inner {
+    /// Marks `[lo, hi)` dirty, saving the media bytes of whatever part was
+    /// clean; runs before `working` is overwritten. Costs the bytes newly
+    /// dirtied plus those of any later span it absorbs, so a write that
+    /// extends the span it follows (a log append) copies nothing else.
+    fn mark_dirty(&mut self, lo: usize, hi: usize) {
+        let Inner { working, dirty, spare } = self;
+        // Spans [i, j) overlap or touch [lo, hi).
+        let i = dirty.partition_point(|s| s.end < lo);
+        let mut j = dirty.partition_point(|s| s.start <= hi);
+        if i == j || lo < dirty[i].start {
+            let media = spare.pop().unwrap_or_default();
+            dirty.insert(i, Span { start: lo, end: lo, media });
+            j += 1;
+        }
+        for _ in i + 1..j {
+            let next = dirty.remove(i + 1);
+            let span = &mut dirty[i];
+            span.media.extend_from_slice(&working[span.end..next.start]);
+            span.media.extend_from_slice(&next.media);
+            span.end = next.end;
+            recycle(spare, next.media);
+        }
+        let span = &mut dirty[i];
+        if hi > span.end {
+            span.media.extend_from_slice(&working[span.end..hi]);
+            span.end = hi;
+        }
+    }
+
+    /// Forgets the saved media bytes of `[lo, hi)`: the media now equals
+    /// `working` there. Splits a span that straddles the range.
+    fn clear_dirty(&mut self, lo: usize, hi: usize) {
+        let Inner { dirty, spare, .. } = self;
+        let mut k = dirty.partition_point(|s| s.end <= lo);
+        while k < dirty.len() && dirty[k].start < hi {
+            let mut span = dirty.remove(k);
+            if hi < span.end {
+                let mut media = spare.pop().unwrap_or_default();
+                media.extend_from_slice(&span.media[hi - span.start..]);
+                dirty.insert(k, Span { start: hi, end: span.end, media });
+            }
+            if span.start < lo {
+                span.media.truncate(lo - span.start);
+                span.end = lo;
+                dirty.insert(k, span);
+                k += 1;
+            } else {
+                recycle(spare, span.media);
+            }
+        }
+    }
+
+    /// Drops every span; `restore` first lays its media bytes back.
+    fn drain(&mut self, restore: bool) {
+        for span in self.dirty.drain(..) {
+            if restore {
+                self.working[span.start..span.end].copy_from_slice(&span.media);
+            }
+            recycle(&mut self.spare, span.media);
+        }
+    }
 }
 
 /// Counters exposed for tests and benchmarks.
@@ -100,9 +189,9 @@ impl PmDevice {
     pub fn new(config: PmDeviceConfig) -> Self {
         PmDevice {
             inner: Mutex::new(Inner {
-                media: vec![0u8; config.capacity].into_boxed_slice(),
                 working: vec![0u8; config.capacity].into_boxed_slice(),
-                dirty: BTreeMap::new(),
+                dirty: Vec::new(),
+                spare: Vec::new(),
             }),
             latency: config.latency,
             clock: config.clock,
@@ -136,8 +225,10 @@ impl PmDevice {
         self.check(offset, data.len())?;
         self.clock.consume(self.latency.write_ns(data.len()));
         let mut inner = self.inner.lock();
-        inner.working[offset..offset + data.len()].copy_from_slice(data);
-        mark_dirty(&mut inner.dirty, offset, offset + data.len());
+        if !data.is_empty() {
+            inner.mark_dirty(offset, offset + data.len());
+            inner.working[offset..offset + data.len()].copy_from_slice(data);
+        }
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_written
@@ -163,59 +254,51 @@ impl PmDevice {
         self.check(offset, len)?;
         self.clock.consume(150 + (len as u64) / 32);
         let mut inner = self.inner.lock();
-        let Inner { media, working, dirty } = &mut *inner;
-        media[offset..offset + len].copy_from_slice(&working[offset..offset + len]);
-        clear_dirty(dirty, offset, offset + len);
+        if len > 0 {
+            inner.clear_dirty(offset, offset + len);
+        }
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Persists everything outstanding.
     pub fn persist_all(&self) {
-        let mut inner = self.inner.lock();
-        let Inner { media, working, dirty } = &mut *inner;
-        for (&start, &end) in dirty.iter() {
-            media[start..end].copy_from_slice(&working[start..end]);
-        }
-        dirty.clear();
+        self.inner.lock().drain(false);
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total bytes currently dirty (unpersisted).
     pub fn dirty_bytes(&self) -> usize {
-        self.inner.lock().dirty.iter().map(|(s, e)| e - s).sum()
+        self.inner.lock().dirty.iter().map(|s| s.end - s.start).sum()
     }
 
     /// Power failure: all unpersisted writes are lost; the working state is
     /// reset to the media contents.
     pub fn crash(&self) {
-        let mut inner = self.inner.lock();
-        let Inner { media, working, dirty } = &mut *inner;
-        working.copy_from_slice(media);
-        dirty.clear();
+        self.inner.lock().drain(true);
     }
 
     /// Power failure with torn flushes: each dirty 8-byte unit independently
     /// survives with probability 1/2, modelling cache lines that happened to
     /// be evicted (and the hardware's 8-byte atomicity). Used by
-    /// crash-consistency tests to attack the recovery paths.
+    /// crash-consistency tests to attack the recovery paths. One coin is
+    /// drawn per unit of each dirty span, in address order.
     pub fn crash_torn<R: Rng>(&self, rng: &mut R) {
         let mut inner = self.inner.lock();
-        let Inner { media, working, dirty } = &mut *inner;
-        for (&start, &end) in dirty.iter() {
-            let mut unit = start - start % ATOMIC_UNIT;
-            while unit < end {
-                let lo = unit.max(start);
-                let hi = (unit + ATOMIC_UNIT).min(end);
-                if rng.gen_bool(0.5) {
-                    // This unit made it to the media before power was lost.
-                    media[lo..hi].copy_from_slice(&working[lo..hi]);
+        let Inner { working, dirty, .. } = &mut *inner;
+        for span in dirty.iter() {
+            let mut unit = span.start - span.start % ATOMIC_UNIT;
+            while unit < span.end {
+                let lo = unit.max(span.start);
+                let hi = (unit + ATOMIC_UNIT).min(span.end);
+                if !rng.gen_bool(0.5) {
+                    // This unit never reached the media before power was lost.
+                    working[lo..hi].copy_from_slice(&span.media[lo - span.start..hi - span.start]);
                 }
                 unit += ATOMIC_UNIT;
             }
         }
-        working.copy_from_slice(media);
-        dirty.clear();
+        inner.drain(false);
     }
 
     /// Reads directly from the media, bypassing the overlay — what a fresh
@@ -223,52 +306,20 @@ impl PmDevice {
     pub fn read_media(&self, offset: usize, len: usize) -> Result<Vec<u8>, DeviceError> {
         self.check(offset, len)?;
         let inner = self.inner.lock();
-        Ok(inner.media[offset..offset + len].to_vec())
+        let (lo, hi) = (offset, offset + len);
+        let mut out = inner.working[lo..hi].to_vec();
+        let first = inner.dirty.partition_point(|s| s.end <= lo);
+        for span in inner.dirty[first..].iter().take_while(|s| s.start < hi) {
+            let (a, b) = (span.start.max(lo), span.end.min(hi));
+            out[a - lo..b - lo].copy_from_slice(&span.media[a - span.start..b - span.start]);
+        }
+        Ok(out)
     }
 
     /// The device's latency model (used by benchmarks to report modelled
     /// costs without performing I/O).
     pub fn latency_model(&self) -> LatencyModel {
         self.latency
-    }
-}
-
-/// Inserts `[start, end)` into the merged dirty-range map.
-fn mark_dirty(dirty: &mut BTreeMap<usize, usize>, mut start: usize, mut end: usize) {
-    // Absorb any range that overlaps or is adjacent.
-    loop {
-        let overlapping: Vec<usize> = dirty
-            .range(..=end)
-            .filter(|(_, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        if overlapping.is_empty() {
-            break;
-        }
-        for s in overlapping {
-            let e = dirty.remove(&s).expect("range present");
-            start = start.min(s);
-            end = end.max(e);
-        }
-    }
-    dirty.insert(start, end);
-}
-
-/// Removes `[start, end)` from the dirty map, splitting ranges as needed.
-fn clear_dirty(dirty: &mut BTreeMap<usize, usize>, start: usize, end: usize) {
-    let affected: Vec<(usize, usize)> = dirty
-        .range(..end)
-        .filter(|(_, &e)| e > start)
-        .map(|(&s, &e)| (s, e))
-        .collect();
-    for (s, e) in affected {
-        dirty.remove(&s);
-        if s < start {
-            dirty.insert(s, start);
-        }
-        if e > end {
-            dirty.insert(end, e);
-        }
     }
 }
 
@@ -339,25 +390,33 @@ mod tests {
         assert_eq!(dev.read_media(5, 5).unwrap(), vec![0u8; 5]);
     }
 
+    fn spans(dev: &PmDevice) -> Vec<(usize, usize)> {
+        dev.inner.lock().dirty.iter().map(|s| (s.start, s.end)).collect()
+    }
+
     #[test]
     fn dirty_ranges_merge() {
-        let mut dirty = BTreeMap::new();
-        mark_dirty(&mut dirty, 0, 10);
-        mark_dirty(&mut dirty, 10, 20); // adjacent
-        mark_dirty(&mut dirty, 5, 15); // overlapping
-        assert_eq!(dirty.len(), 1);
-        assert_eq!(dirty.get(&0), Some(&20));
-        mark_dirty(&mut dirty, 30, 40);
-        assert_eq!(dirty.len(), 2);
+        let dev = PmDevice::for_testing();
+        dev.write(0, &[1; 10]).unwrap();
+        dev.write(10, &[2; 10]).unwrap(); // adjacent
+        dev.write(5, &[3; 10]).unwrap(); // overlapping
+        assert_eq!(spans(&dev), vec![(0, 20)]);
+        dev.write(30, &[4; 10]).unwrap();
+        assert_eq!(spans(&dev), vec![(0, 20), (30, 40)]);
+        dev.write(15, &[5; 20]).unwrap(); // bridges both
+        assert_eq!(spans(&dev), vec![(0, 40)]);
+        assert_eq!(dev.read_media(0, 40).unwrap(), vec![0u8; 40]);
     }
 
     #[test]
     fn clear_dirty_splits_ranges() {
-        let mut dirty = BTreeMap::new();
-        mark_dirty(&mut dirty, 0, 100);
-        clear_dirty(&mut dirty, 40, 60);
-        assert_eq!(dirty.get(&0), Some(&40));
-        assert_eq!(dirty.get(&60), Some(&100));
+        let dev = PmDevice::for_testing();
+        dev.write(0, &[7; 100]).unwrap();
+        dev.persist(40, 20).unwrap();
+        assert_eq!(spans(&dev), vec![(0, 40), (60, 100)]);
+        let media = dev.read_media(0, 100).unwrap();
+        assert!(media[..40].iter().chain(&media[60..]).all(|&b| b == 0));
+        assert!(media[40..60].iter().all(|&b| b == 7));
     }
 
     #[test]

@@ -13,24 +13,26 @@
 //! * [`PmPool::open`] recovers after a crash by scanning the log and
 //!   replaying exactly the transactions whose commit record survived;
 //!   half-written transactions are discarded (rollback), guaranteeing
-//!   atomicity + durability across power failures;
-//! * space is reclaimed by **crash-safe compaction**: the device is split in
-//!   two halves plus an 8-byte superblock selecting the active half.
-//!   Compaction rewrites the live set into the *inactive* half and then
-//!   atomically flips the superblock (8 bytes = the PM power-fail atomicity
-//!   unit), so a crash at any point leaves one fully valid half.
+//!   atomicity + durability across power failures.
 //!
-//! Compaction is **incremental**: once the active half passes a fill
-//! threshold, each commit also copies a bounded batch of live records into
-//! the inactive half and mirrors its own operations there, so the copy
-//! rides along with foreground commits instead of stopping the world. When
-//! the pass has copied every key it flips the superblock. Crash safety is
-//! unchanged — the inactive half is garbage until the flip persists, and
-//! every transaction is durable in the active half first. The synchronous
-//! full rewrite remains as the fallback for a half that fills before a
-//! pass completes (and for the explicit [`PmPool::compact`] API).
+//! The redo log is **circular** and reclaimed at its head. A 16-byte
+//! superblock precedes the ring: the replay start offset (one 8-byte,
+//! power-fail-atomic word) and a txid floor above every txid on the device.
+//! After each commit the head advances in memory past records the index no
+//! longer points at; the superblock is rewritten only when the tail needs
+//! that space, so replay may start early and re-apply superseded records
+//! harmlessly. A live record at the head is re-appended at the tail only
+//! when the tail needs its space; a crash before the new head persists
+//! replays both copies, in order. When deletes follow write order (the
+//! storage server spills oldest-first) the head is almost always dead and
+//! almost nothing is copied.
+//!
+//! A transaction never straddles the ring's end (a wrap record sends replay
+//! back to its start). Replay stops at the zeroed header each commit ends
+//! with, and at any record older than the one before it, so bytes left from
+//! an earlier lap are never replayed.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,16 +42,20 @@ use crate::{crc32, DeviceError, PmDevice};
 
 /// Bytes of a record header: crc(4) + len(4) + txid(8) + kind(1) + key(16).
 const REC_HDR: usize = 33;
-/// Superblock: a single 8-byte word holding the active half (0 or 1).
-const SUPERBLOCK: usize = 8;
+/// Superblock: the replay start offset, then the txid floor (8 bytes each).
+const SUPERBLOCK: usize = 16;
+/// Txids reserved per persist of the txid floor.
+const TXID_STEP: u64 = 1 << 16;
 const KIND_PUT: u8 = 1;
 const KIND_DELETE: u8 = 2;
 const KIND_COMMIT: u8 = 3;
+/// Replay continues at the start of the ring.
+const KIND_WRAP: u8 = 4;
 
 /// Errors from pool operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolError {
-    /// The live set does not fit even after compaction.
+    /// The live set leaves no room for the transaction.
     PoolFull,
     /// Underlying device error.
     Device(DeviceError),
@@ -72,46 +78,50 @@ impl From<DeviceError> for PoolError {
     }
 }
 
+/// A put record in the log; live while the index points at its payload.
+struct PutRecord {
+    offset: usize,
+    key: u128,
+}
+
 struct PoolState {
     /// key → (payload offset, payload len) in the device.
     index: HashMap<u128, (usize, usize)>,
-    /// Active half (0 or 1).
-    active: u8,
-    /// Next append offset (absolute device offset inside the active half).
+    /// Put records from the head to the tail, oldest first. Records of
+    /// other kinds are never live, so the head skips them unseen.
+    log: VecDeque<PutRecord>,
+    /// Replay start held by the superblock: nothing from here to the tail
+    /// may be overwritten.
+    durable_head: usize,
+    /// Next append offset.
     tail: usize,
     next_txid: u64,
-    /// Incremental compaction pass in flight, if any.
-    compacting: Option<CompactPass>,
+    /// Durable txid floor: no record on the device has a txid this high.
+    txid_floor: u64,
 }
 
-/// State of an in-flight incremental compaction pass. The inactive half is
-/// being filled with (a) bounded batches of live records copied per commit
-/// and (b) a mirror of every commit that lands while the pass runs. Until
-/// the superblock flips, nothing here matters for durability — a crash
-/// recovers the active half as if the pass never existed.
-struct CompactPass {
-    /// The half being built (the inactive one when the pass started).
-    target: u8,
-    /// Keys live when the pass started; copied in order.
-    snapshot: Vec<u128>,
-    /// Next snapshot position to copy.
-    cursor: usize,
-    /// Keys written or deleted *during* the pass: the mirror already holds
-    /// their latest state, so the copy skips them (a stale snapshot value
-    /// must not land at a later log position than the mirrored one).
-    handled: HashSet<u128>,
-    /// Append tail in the target half.
-    tail: usize,
-    /// The index as it will read after the flip (offsets in the target half).
-    index: HashMap<u128, (usize, usize)>,
-}
+impl PoolState {
+    /// Offset of the oldest live record (the tail when nothing is live).
+    fn head(&self) -> usize {
+        self.log.front().map_or(self.tail, |r| r.offset)
+    }
 
-/// Fill fraction of the active half that starts an incremental pass
-/// (numerator/denominator of the half size).
-const COMPACT_START_NUM: usize = 3;
-const COMPACT_START_DEN: usize = 4;
-/// Minimum live records copied per commit during a pass.
-const COMPACT_STEP_MIN: usize = 64;
+    fn is_live(&self, rec: &PutRecord) -> bool {
+        self.index
+            .get(&rec.key)
+            .is_some_and(|&(off, _)| off == rec.offset + REC_HDR)
+    }
+
+    /// Advances the head past every record the index no longer points at.
+    fn drop_dead(&mut self) {
+        while let Some(rec) = self.log.front() {
+            if self.is_live(rec) {
+                break;
+            }
+            self.log.pop_front();
+        }
+    }
+}
 
 /// See module docs.
 pub struct PmPool {
@@ -124,6 +134,15 @@ enum StagedOp {
     Delete(u128),
 }
 
+impl StagedOp {
+    fn record_len(&self) -> usize {
+        match self {
+            StagedOp::Put(_, v) => REC_HDR + v.len(),
+            StagedOp::Delete(_) => REC_HDR,
+        }
+    }
+}
+
 /// An open transaction. Dropping without [`Tx::commit`] is a rollback.
 pub struct Tx<'a> {
     pool: &'a PmPool,
@@ -133,116 +152,115 @@ pub struct Tx<'a> {
 }
 
 impl PmPool {
-    fn half_bounds(&self, half: u8) -> (usize, usize) {
-        let half_size = (self.device.capacity() - SUPERBLOCK) / 2;
-        let start = SUPERBLOCK + half as usize * half_size;
-        (start, start + half_size)
-    }
-
-    /// Creates a fresh pool on `device` (assumes the device is zeroed).
+    /// Creates a fresh pool on `device`: an empty log at the ring start.
     pub fn create(device: Arc<PmDevice>) -> Self {
+        let mut sb = [0u8; SUPERBLOCK];
+        sb[..8].copy_from_slice(&(SUPERBLOCK as u64).to_le_bytes());
         device
-            .write(0, &0u64.to_le_bytes())
+            .write(0, &sb)
             .expect("device holds at least a superblock");
-        device.persist(0, SUPERBLOCK).expect("superblock persist");
-        let pool = PmPool {
-            device,
-            state: Mutex::new(PoolState {
-                index: HashMap::new(),
-                active: 0,
-                tail: 0,
-                next_txid: 1,
-                compacting: None,
-            }),
-        };
-        pool.state.lock().tail = pool.half_bounds(0).0;
-        pool
+        device
+            .write(SUPERBLOCK, &[0u8; REC_HDR])
+            .expect("device holds at least one record header");
+        device
+            .persist(0, SUPERBLOCK + REC_HDR)
+            .expect("superblock persist");
+        PmPool::open(device)
     }
 
     /// Opens a pool from whatever the device's *media* holds, replaying the
-    /// redo log of the active half: only transactions with a durable commit
-    /// record apply.
+    /// redo log from the head the superblock records: only transactions
+    /// with a durable commit record apply.
     pub fn open(device: Arc<PmDevice>) -> Self {
+        let cap = device.capacity();
         let sb = device.read_media(0, SUPERBLOCK).expect("superblock read");
-        let active = (u64::from_le_bytes(sb.try_into().unwrap()) & 1) as u8;
-        let pool = PmPool {
-            device,
-            state: Mutex::new(PoolState {
-                index: HashMap::new(),
-                active,
-                tail: 0,
-                next_txid: 1,
-                compacting: None,
-            }),
-        };
-        let (start, end) = pool.half_bounds(active);
+        let word = |i: usize| u64::from_le_bytes(sb[i..i + 8].try_into().expect("8-byte word"));
+        let (head, txid_floor) = (word(0) as usize, word(8));
+        // A zeroed (never created) device replays from the ring start.
+        let head = Some(head)
+            .filter(|&h| h >= SUPERBLOCK && h + REC_HDR <= cap)
+            .unwrap_or(SUPERBLOCK);
 
         let mut index: HashMap<u128, (usize, usize)> = HashMap::new();
-        let mut pending: HashMap<u64, Vec<(u8, u128, usize, usize)>> = HashMap::new();
-        let mut offset = start;
-        let mut max_txid = 0u64;
-        while offset + REC_HDR <= end {
-            let hdr = pool
-                .device
+        let mut log = VecDeque::new();
+        let mut pending: Vec<(u8, u128, usize, usize)> = Vec::new();
+        let mut last_txid = 0u64;
+        let mut last_committed = 0u64;
+        let mut offset = head;
+        let mut scanned = 0usize;
+        while offset + REC_HDR <= cap && scanned <= cap {
+            let hdr = device
                 .read_media(offset, REC_HDR)
-                .expect("header read within half");
+                .expect("header read within device");
             let crc = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
             let len = u32::from_le_bytes(hdr[4..8].try_into().unwrap()) as usize;
             let txid = u64::from_le_bytes(hdr[8..16].try_into().unwrap());
             let kind = hdr[16];
             let key = u128::from_le_bytes(hdr[17..33].try_into().unwrap());
             if crc == 0 && len == 0 && txid == 0 {
-                break; // end of log
+                break; // terminator: end of log
             }
-            if offset + REC_HDR + len > end {
+            if offset + REC_HDR + len > cap {
                 break; // truncated tail
             }
-            let payload = pool
-                .device
+            let payload = device
                 .read_media(offset + REC_HDR, len)
-                .expect("payload within half");
+                .expect("payload within device");
             let mut check = Vec::with_capacity(REC_HDR - 4 + len);
             check.extend_from_slice(&hdr[4..]);
             check.extend_from_slice(&payload);
             if crc32(&check) != crc {
                 break; // torn record: end of valid prefix
             }
-            max_txid = max_txid.max(txid);
+            if txid < last_txid || txid == last_committed {
+                break; // left over from an earlier lap
+            }
+            if txid != last_txid {
+                pending.clear(); // an uncommitted transaction: rolled back
+                last_txid = txid;
+            }
             match kind {
-                KIND_COMMIT => {
-                    if let Some(ops) = pending.remove(&txid) {
-                        for (k, key, poff, plen) in ops {
-                            match k {
-                                KIND_PUT => {
-                                    index.insert(key, (poff, plen));
-                                }
-                                KIND_DELETE => {
-                                    index.remove(&key);
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
+                KIND_WRAP => {
+                    scanned += REC_HDR;
+                    offset = SUPERBLOCK;
+                    continue;
                 }
                 KIND_PUT | KIND_DELETE => {
-                    pending
-                        .entry(txid)
-                        .or_default()
-                        .push((kind, key, offset + REC_HDR, len));
+                    if kind == KIND_PUT {
+                        log.push_back(PutRecord { offset, key });
+                    }
+                    pending.push((kind, key, offset + REC_HDR, len));
+                }
+                KIND_COMMIT => {
+                    for (k, key, poff, plen) in pending.drain(..) {
+                        if k == KIND_PUT {
+                            index.insert(key, (poff, plen));
+                        } else {
+                            index.remove(&key);
+                        }
+                    }
+                    last_committed = txid;
                 }
                 _ => break, // unknown record kind: treat as corruption
             }
             offset += REC_HDR + len;
+            scanned += REC_HDR + len;
         }
-        // `pending` now holds only uncommitted transactions — rolled back by
-        // simply not applying them. Appends resume past the valid prefix.
-        {
-            let mut st = pool.state.lock();
-            st.index = index;
-            st.tail = offset;
-            st.next_txid = max_txid + 1;
+        // Appends resume past the valid prefix; the durable head stays
+        // where it is until the tail needs the space behind it.
+        let mut state = PoolState {
+            index,
+            log,
+            durable_head: head,
+            tail: offset,
+            next_txid: (last_txid + 1).max(txid_floor),
+            txid_floor,
+        };
+        state.drop_dead();
+        PmPool {
+            device,
+            state: Mutex::new(state),
         }
-        pool
     }
 
     /// Begins a transaction.
@@ -278,15 +296,20 @@ impl PmPool {
         self.len() == 0
     }
 
-    /// All live keys (unordered).
+    /// All live keys, in log order: oldest write first.
     pub fn keys(&self) -> Vec<u128> {
-        self.state.lock().index.keys().copied().collect()
+        let st = self.state.lock();
+        st.log
+            .iter()
+            .filter(|rec| st.is_live(rec))
+            .map(|rec| rec.key)
+            .collect()
     }
 
-    /// Bytes used in the active half so far.
+    /// Bytes of the ring between the head and the tail.
     pub fn used_bytes(&self) -> usize {
         let st = self.state.lock();
-        st.tail - self.half_bounds(st.active).0
+        self.dist(st.head(), st.tail)
     }
 
     /// Convenience single-op transactional put.
@@ -303,52 +326,11 @@ impl PmPool {
         tx.commit()
     }
 
-    /// Crash-safe compaction: rewrites the live set into the inactive half,
-    /// persists it, then atomically flips the superblock. A crash anywhere
-    /// in between recovers the previous half untouched.
+    /// Reclaims everything reclaimable now: makes the in-memory head (past
+    /// every dead record at the front of the log) the durable replay start.
+    /// Copies nothing.
     pub fn compact(&self) -> Result<(), PoolError> {
-        let mut st = self.state.lock();
-        self.compact_locked(&mut st)
-    }
-
-    fn compact_locked(&self, st: &mut PoolState) -> Result<(), PoolError> {
-        // A full rewrite owns the inactive half: any incremental pass that
-        // was building it is void (and must not outlive the flip, or its
-        // mirror would write into the half that just became active).
-        st.compacting = None;
-        let txid = st.next_txid;
-        st.next_txid += 1;
-        let target: u8 = 1 - st.active;
-        let (start, end) = self.half_bounds(target);
-        let live: Vec<(u128, Vec<u8>)> = st
-            .index
-            .iter()
-            .map(|(&k, &(off, len))| (k, self.device.read(off, len).expect("indexed range valid")))
-            .collect();
-        let mut offset = start;
-        let mut new_index = HashMap::with_capacity(live.len());
-        for (key, value) in &live {
-            let rec = encode_record(txid, KIND_PUT, *key, value);
-            if offset + rec.len() + REC_HDR * 2 > end {
-                return Err(PoolError::PoolFull);
-            }
-            self.device.write(offset, &rec)?;
-            new_index.insert(*key, (offset + REC_HDR, value.len()));
-            offset += rec.len();
-        }
-        let commit = encode_record(txid, KIND_COMMIT, 0, &[]);
-        self.device.write(offset, &commit)?;
-        offset += commit.len();
-        // Terminator so recovery stops here instead of reading stale records.
-        self.device.write(offset, &[0u8; REC_HDR])?;
-        self.device.persist(start, offset + REC_HDR - start)?;
-        // Atomic flip: 8-byte superblock write + persist.
-        self.device.write(0, &(target as u64).to_le_bytes())?;
-        self.device.persist(0, SUPERBLOCK)?;
-        st.active = target;
-        st.index = new_index;
-        st.tail = offset;
-        Ok(())
+        self.persist_head(&mut self.state.lock())
     }
 
     /// The underlying device (for crash injection in tests).
@@ -356,228 +338,157 @@ impl PmPool {
         &self.device
     }
 
+    /// Whether a transaction of `need` bytes (records, commit record and
+    /// terminator) fits between the tail and `head`: `Some(wrap)` when it
+    /// does, `wrap` meaning it starts at the ring start.
+    fn fits(&self, tail: usize, head: usize, need: usize) -> Option<bool> {
+        if tail < head {
+            (tail + need <= head).then_some(false)
+        } else if tail + need <= self.device.capacity() {
+            Some(false)
+        } else {
+            (SUPERBLOCK + need <= head).then_some(true)
+        }
+    }
+
+    /// Makes the in-memory head the durable replay start.
+    fn persist_head(&self, st: &mut PoolState) -> Result<(), PoolError> {
+        let head = st.head();
+        self.device.write(0, &(head as u64).to_le_bytes())?;
+        self.device.persist(0, 8)?;
+        st.durable_head = head;
+        Ok(())
+    }
+
+    /// Room for `need` bytes without touching the live set: `Some(wrap)`,
+    /// after persisting the head if the space behind the durable head is
+    /// needed, or `None`.
+    fn place(&self, st: &mut PoolState, need: usize) -> Result<Option<bool>, PoolError> {
+        if let Some(wrap) = self.fits(st.tail, st.durable_head, need) {
+            return Ok(Some(wrap));
+        }
+        let Some(wrap) = self.fits(st.tail, st.head(), need) else {
+            return Ok(None);
+        };
+        self.persist_head(st)?;
+        Ok(Some(wrap))
+    }
+
+    /// Room for `need` bytes, moving live records from the head to the tail
+    /// while they are in the way. Keeps an eighth of the ring free after
+    /// every transaction, so a live record at the head always has room to
+    /// move. `PoolFull` when nothing is live to move, or a whole lap of
+    /// moves made no room.
+    fn reserve(&self, st: &mut PoolState, need: usize) -> Result<bool, PoolError> {
+        let ring = self.device.capacity() - SUPERBLOCK;
+        let spare = ring / 8;
+        let mut moved = 0usize;
+        loop {
+            let head = st.head();
+            if let Some(wrap) = self.fits(st.tail, head, need) {
+                let end = if wrap { SUPERBLOCK } else { st.tail } + need - REC_HDR;
+                if st.log.is_empty() || ring - self.dist(head, end) >= spare {
+                    if self.fits(st.tail, st.durable_head, need).is_none() {
+                        self.persist_head(st)?;
+                    }
+                    return Ok(wrap);
+                }
+            }
+            if st.log.is_empty() || moved > ring {
+                return Err(PoolError::PoolFull);
+            }
+            moved += self.move_head_record(st)?;
+        }
+    }
+
+    /// Ring bytes from `from` forward to `to`.
+    fn dist(&self, from: usize, to: usize) -> usize {
+        if to >= from {
+            to - from
+        } else {
+            self.device.capacity() - from + to - SUPERBLOCK
+        }
+    }
+
+    /// Re-appends the live record at the head as a transaction of its own;
+    /// the head then advances past the old copy. Returns the bytes moved.
+    fn move_head_record(&self, st: &mut PoolState) -> Result<usize, PoolError> {
+        let key = st.log.front().expect("head record present").key;
+        let (off, len) = st.index[&key];
+        let value = self.device.read(off, len)?;
+        let op = [StagedOp::Put(key, value)];
+        let Some(wrap) = self.place(st, REC_HDR + len + 2 * REC_HDR)? else {
+            return Err(PoolError::PoolFull);
+        };
+        self.write_tx(st, wrap, &op)?;
+        Ok(REC_HDR + len)
+    }
+
     fn commit_ops(&self, ops: &[StagedOp]) -> Result<(), PoolError> {
         if ops.is_empty() {
             return Ok(());
         }
         let mut st = self.state.lock();
+        // Records + commit record + terminator.
+        let need = ops.iter().map(StagedOp::record_len).sum::<usize>() + 2 * REC_HDR;
+        let wrap = self.reserve(&mut st, need)?;
+        self.write_tx(&mut st, wrap, ops)
+    }
+
+    /// Appends `ops` and their commit record at the tail (at the ring start
+    /// after a wrap record when `wrap`), persisting the operations before
+    /// the commit record, then applies them to the index and advances the
+    /// head. The caller has checked that they fit.
+    fn write_tx(&self, st: &mut PoolState, wrap: bool, ops: &[StagedOp]) -> Result<(), PoolError> {
         let txid = st.next_txid;
         st.next_txid += 1;
-
-        let needed: usize = ops
-            .iter()
-            .map(|op| match op {
-                StagedOp::Put(_, v) => REC_HDR + v.len(),
-                StagedOp::Delete(_) => REC_HDR,
-            })
-            .sum::<usize>()
-            + REC_HDR * 2; // commit record + terminator
-        if st.tail + needed > self.half_bounds(st.active).1 {
-            // The half filled before an incremental pass could finish (or
-            // none was running): fall back to the synchronous full rewrite.
-            st.compacting = None;
-            self.compact_locked(&mut st)?;
-            if st.tail + needed > self.half_bounds(st.active).1 {
-                return Err(PoolError::PoolFull);
-            }
+        if txid >= st.txid_floor {
+            st.txid_floor = txid + TXID_STEP;
+            self.device.write(8, &st.txid_floor.to_le_bytes())?;
+            self.device.persist(8, 8)?;
         }
-
-        let start = st.tail;
-        let mut offset = start;
-        let mut index_updates: Vec<(u128, Option<(usize, usize)>)> = Vec::with_capacity(ops.len());
-        let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(ops.len());
+        let mut offset = st.tail;
+        if wrap {
+            let rec = encode_record(txid, KIND_WRAP, 0, &[]);
+            self.device.write(offset, &rec)?;
+            self.device.persist(offset, REC_HDR)?;
+            offset = SUPERBLOCK;
+        }
+        let start = offset;
         for op in ops {
-            match op {
-                StagedOp::Put(key, value) => {
-                    let rec = encode_record(txid, KIND_PUT, *key, value);
-                    self.device.write(offset, &rec)?;
-                    index_updates.push((*key, Some((offset + REC_HDR, value.len()))));
-                    offset += rec.len();
-                    encoded.push(rec);
-                }
-                StagedOp::Delete(key) => {
-                    let rec = encode_record(txid, KIND_DELETE, *key, &[]);
-                    self.device.write(offset, &rec)?;
-                    index_updates.push((*key, None));
-                    offset += rec.len();
-                    encoded.push(rec);
-                }
-            }
+            let rec = match op {
+                StagedOp::Put(key, value) => encode_record(txid, KIND_PUT, *key, value),
+                StagedOp::Delete(key) => encode_record(txid, KIND_DELETE, *key, &[]),
+            };
+            self.device.write(offset, &rec)?;
+            offset += rec.len();
         }
         // Persist the operations *before* the commit record becomes durable
         // (redo-log write ordering).
         self.device.persist(start, offset - start)?;
         let commit = encode_record(txid, KIND_COMMIT, 0, &[]);
         self.device.write(offset, &commit)?;
-        // Terminator: a reused half can hold stale-but-valid records past the
-        // tail; the zero header stops recovery from replaying them.
+        // Terminator: the ring past the tail holds records of earlier laps;
+        // the zero header stops recovery from replaying them.
         self.device.write(offset + commit.len(), &[0u8; REC_HDR])?;
         self.device.persist(offset, commit.len() + REC_HDR)?;
-        offset += commit.len();
 
-        for (key, loc) in &index_updates {
-            match loc {
-                Some(l) => {
-                    st.index.insert(*key, *l);
+        let mut offset = start;
+        for op in ops {
+            match op {
+                StagedOp::Put(key, value) => {
+                    st.log.push_back(PutRecord { offset, key: *key });
+                    st.index.insert(*key, (offset + REC_HDR, value.len()));
                 }
-                None => {
+                StagedOp::Delete(key) => {
                     st.index.remove(key);
                 }
             }
+            offset += op.record_len();
         }
-        st.tail = offset;
-
-        // The transaction is durable in the active half; mirror it into an
-        // in-flight compaction pass and advance the pass by one step.
-        self.mirror_into_pass(&mut st, txid, &encoded, &index_updates);
-        self.compact_step_locked(&mut st);
+        st.tail = offset + REC_HDR;
+        st.drop_dead();
         Ok(())
-    }
-
-    /// Appends `recs` plus a commit record at the pass tail. Returns the new
-    /// tail, or `None` if the target half cannot hold them (the pass is then
-    /// abandoned by the caller; the synchronous fallback still works).
-    fn append_to_pass(
-        &self,
-        pass: &mut CompactPass,
-        recs: &[Vec<u8>],
-        txid: u64,
-    ) -> Option<usize> {
-        let (_, end) = self.half_bounds(pass.target);
-        let needed: usize = recs.iter().map(Vec::len).sum::<usize>() + REC_HDR * 2;
-        if pass.tail + needed > end {
-            return None;
-        }
-        let start = pass.tail;
-        let mut offset = start;
-        for rec in recs {
-            self.device.write(offset, rec).ok()?;
-            offset += rec.len();
-        }
-        let commit = encode_record(txid, KIND_COMMIT, 0, &[]);
-        self.device.write(offset, &commit).ok()?;
-        self.device.write(offset + commit.len(), &[0u8; REC_HDR]).ok()?;
-        self.device.persist(start, offset + commit.len() + REC_HDR - start).ok()?;
-        Some(offset + commit.len())
-    }
-
-    /// Replays a just-committed transaction into the in-flight pass, so the
-    /// target half stays a superset of every commit since the pass began.
-    /// Mirrored keys are marked handled: the copy must not later write a
-    /// stale snapshot value at a higher log position than the mirror.
-    fn mirror_into_pass(
-        &self,
-        st: &mut PoolState,
-        txid: u64,
-        encoded: &[Vec<u8>],
-        index_updates: &[(u128, Option<(usize, usize)>)],
-    ) {
-        let Some(mut pass) = st.compacting.take() else {
-            return;
-        };
-        let Some(new_tail) = self.append_to_pass(&mut pass, encoded, txid) else {
-            return; // target full: abandon the pass
-        };
-        // Record target-half offsets: each op record's payload starts
-        // REC_HDR past where the record landed.
-        let mut offset = pass.tail;
-        for (rec, (key, loc)) in encoded.iter().zip(index_updates) {
-            match loc {
-                Some((_, len)) => {
-                    pass.index.insert(*key, (offset + REC_HDR, *len));
-                }
-                None => {
-                    pass.index.remove(key);
-                }
-            }
-            pass.handled.insert(*key);
-            offset += rec.len();
-        }
-        pass.tail = new_tail;
-        st.compacting = Some(pass);
-    }
-
-    /// Starts a pass when the active half is filling, or copies the next
-    /// bounded batch of snapshot keys into the target half. Runs after every
-    /// commit; errors only abandon the pass (never the commit).
-    fn compact_step_locked(&self, st: &mut PoolState) {
-        if st.compacting.is_none() {
-            let (start, end) = self.half_bounds(st.active);
-            if (st.tail - start) * COMPACT_START_DEN < (end - start) * COMPACT_START_NUM {
-                return;
-            }
-            let target = 1 - st.active;
-            let target_start = self.half_bounds(target).0;
-            // Terminator at the target start: even a pass that flips with
-            // nothing to copy must not leave recovery reading stale (but
-            // CRC-valid) records from an earlier tenancy of this half.
-            if self.device.write(target_start, &[0u8; REC_HDR]).is_err() {
-                return;
-            }
-            if self.device.persist(target_start, REC_HDR).is_err() {
-                return;
-            }
-            st.compacting = Some(CompactPass {
-                target,
-                snapshot: st.index.keys().copied().collect(),
-                cursor: 0,
-                handled: HashSet::new(),
-                tail: target_start,
-                index: HashMap::new(),
-            });
-        }
-        let Some(mut pass) = st.compacting.take() else {
-            return;
-        };
-        // Size the batch so the pass finishes in at most ~128 commits —
-        // comfortably inside the quarter-half of headroom left when it
-        // started — while each step stays far too small to stall one.
-        let step = COMPACT_STEP_MIN.max(pass.snapshot.len().div_ceil(128));
-        let txid = st.next_txid;
-        st.next_txid += 1;
-        let mut recs: Vec<Vec<u8>> = Vec::with_capacity(step);
-        let mut locs: Vec<(u128, usize)> = Vec::with_capacity(step);
-        while pass.cursor < pass.snapshot.len() && recs.len() < step {
-            let key = pass.snapshot[pass.cursor];
-            pass.cursor += 1;
-            if pass.handled.contains(&key) {
-                continue; // the mirror already holds its latest state
-            }
-            let Some(&(off, len)) = st.index.get(&key) else {
-                continue;
-            };
-            let Ok(value) = self.device.read(off, len) else {
-                return; // abandon the pass; the active half is untouched
-            };
-            recs.push(encode_record(txid, KIND_PUT, key, &value));
-            locs.push((key, len));
-        }
-        if !recs.is_empty() {
-            let Some(new_tail) = self.append_to_pass(&mut pass, &recs, txid) else {
-                return; // target full: abandon the pass
-            };
-            let mut offset = pass.tail;
-            for (rec, (key, len)) in recs.iter().zip(&locs) {
-                pass.index.insert(*key, (offset + REC_HDR, *len));
-                offset += rec.len();
-            }
-            pass.tail = new_tail;
-        }
-        if pass.cursor < pass.snapshot.len() {
-            st.compacting = Some(pass);
-            return;
-        }
-        // Every key is in the target half: flip the superblock (8-byte
-        // power-fail-atomic write) and retire the old half.
-        if self.device.write(0, &(pass.target as u64).to_le_bytes()).is_err() {
-            return;
-        }
-        if self.device.persist(0, SUPERBLOCK).is_err() {
-            return;
-        }
-        st.active = pass.target;
-        st.index = pass.index;
-        st.tail = pass.tail;
     }
 }
 
@@ -742,8 +653,7 @@ mod tests {
         // Simulate a crash mid-commit: op record persisted, commit record
         // never written.
         let rec = encode_record(99, KIND_PUT, 2, b"lost");
-        let (start, _) = p.half_bounds(0);
-        let tail = start + p.used_bytes();
+        let tail = SUPERBLOCK + p.used_bytes();
         dev.write(tail, &rec).unwrap();
         dev.persist(tail, rec.len()).unwrap();
         dev.crash();
@@ -774,8 +684,7 @@ mod tests {
         p.put(2, b"maybe").unwrap();
         // Corrupt the most recent commit record's CRC, then crash with torn
         // flushes — recovery must keep key 1 and never panic.
-        let (start, _) = p.half_bounds(0);
-        dev.write(start + p.used_bytes() - REC_HDR, &[0xFFu8; 4]).unwrap();
+        dev.write(SUPERBLOCK + p.used_bytes() - REC_HDR, &[0xFFu8; 4]).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         dev.crash_torn(&mut rng);
         let p2 = PmPool::open(dev);
@@ -799,70 +708,219 @@ mod tests {
         }
     }
 
+    fn small_pool(capacity: usize) -> (Arc<PmDevice>, PmPool) {
+        let dev = Arc::new(PmDevice::new(PmDeviceConfig {
+            capacity,
+            ..Default::default()
+        }));
+        (Arc::clone(&dev), PmPool::create(dev))
+    }
+
+    fn assert_holds(p: &PmPool, model: &HashMap<u128, Vec<u8>>) {
+        assert_eq!(p.len(), model.len(), "live key count");
+        for (k, v) in model {
+            assert_eq!(p.get(*k).as_deref(), Some(v.as_slice()), "key {k}");
+        }
+    }
+
     #[test]
-    fn compaction_reclaims_space_and_preserves_data() {
-        let p = pool();
+    fn head_reclaims_overwritten_records() {
+        let (dev, p) = small_pool(64 * 1024);
         for round in 0..20u32 {
             for k in 0..10u128 {
                 p.put(k, format!("round-{round}-key-{k}").as_bytes()).unwrap();
             }
         }
-        let before = p.used_bytes();
+        // Only the last round is live, and the head already sits on it.
+        let last_round = p.used_bytes();
+        assert!(last_round < 10 * 3 * (REC_HDR + 16), "used {last_round}");
         p.compact().unwrap();
-        let after = p.used_bytes();
-        assert!(after < before, "compaction should shrink the log");
-        for k in 0..10u128 {
-            assert_eq!(p.get(k).unwrap(), format!("round-19-key-{k}").as_bytes());
-        }
-    }
-
-    #[test]
-    fn compacted_pool_recovers() {
-        let dev = Arc::new(PmDevice::for_testing());
-        let p = PmPool::create(Arc::clone(&dev));
-        for k in 0..10u128 {
-            p.put(k, b"v0").unwrap();
-            p.put(k, b"v1").unwrap();
-        }
-        p.compact().unwrap();
-        p.put(100, b"after-compact").unwrap();
+        assert_eq!(p.used_bytes(), last_round, "compact copies nothing");
         dev.crash();
         let p2 = PmPool::open(dev);
-        assert_eq!(p2.len(), 11);
-        assert_eq!(p2.get(3).unwrap(), b"v1");
-        assert_eq!(p2.get(100).unwrap(), b"after-compact");
+        for k in 0..10u128 {
+            assert_eq!(p2.get(k).unwrap(), format!("round-19-key-{k}").as_bytes());
+        }
+        assert_eq!(p2.keys(), (0..10u128).collect::<Vec<_>>(), "keys in log order");
     }
 
     #[test]
-    fn crash_during_compaction_preserves_old_half() {
-        let dev = Arc::new(PmDevice::for_testing());
-        let p = PmPool::create(Arc::clone(&dev));
-        for k in 0..20u128 {
-            p.put(k, format!("value-{k}").as_bytes()).unwrap();
+    fn crash_between_copy_forward_and_head_persist_loses_nothing() {
+        for seed in 0..16u64 {
+            let (dev, p) = small_pool(16 * 1024);
+            let mut model = HashMap::new();
+            for k in 0..6u128 {
+                let v = format!("long-lived-{k}-{seed}").into_bytes();
+                p.put(k, &v).unwrap();
+                model.insert(k, v);
+            }
+            {
+                let mut st = p.state.lock();
+                let durable = st.durable_head;
+                p.move_head_record(&mut st).unwrap();
+                p.move_head_record(&mut st).unwrap();
+                assert_eq!(st.durable_head, durable, "head not persisted yet");
+                assert_ne!(st.head(), durable, "head advanced in memory");
+                if seed % 2 == 1 {
+                    // The head write is in flight: a torn crash keeps the
+                    // old or the new 8-byte word, never a mix.
+                    dev.write(0, &(st.head() as u64).to_le_bytes()).unwrap();
+                }
+            }
+            if seed % 2 == 0 {
+                dev.crash();
+            } else {
+                dev.crash_torn(&mut StdRng::seed_from_u64(seed));
+            }
+            let p2 = PmPool::open(Arc::clone(&dev));
+            assert_holds(&p2, &model);
+            p2.put(100, b"after").unwrap();
+            model.insert(100, b"after".to_vec());
+            dev.crash();
+            assert_holds(&PmPool::open(dev), &model);
         }
-        // Hand-simulate a compaction that crashes before the superblock
-        // flip: write garbage into the inactive half and crash.
-        let (b_start, _) = p.half_bounds(1);
-        dev.write(b_start, &[0xEEu8; 4096]).unwrap();
-        dev.persist(b_start, 4096).unwrap();
+    }
+
+    #[test]
+    fn pool_survives_many_wraps_with_crashes() {
+        let (dev, mut p) = small_pool(4096);
+        let mut model: HashMap<u128, Vec<u8>> = HashMap::new();
+        for k in 0..3u128 {
+            let v = format!("pinned-{k}").into_bytes();
+            p.put(1000 + k, &v).unwrap();
+            model.insert(1000 + k, v);
+        }
+        for step in 0..2000u32 {
+            let k = (step % 5) as u128;
+            if step % 7 == 3 {
+                p.delete(k).unwrap();
+                model.remove(&k);
+            } else {
+                let v = format!("step-{step:05}-{}", "x".repeat((step % 40) as usize)).into_bytes();
+                p.put(k, &v).unwrap();
+                model.insert(k, v);
+            }
+            assert!(p.used_bytes() < 4096);
+            if step % 37 == 0 {
+                dev.crash();
+                p = PmPool::open(Arc::clone(&dev));
+                assert_holds(&p, &model);
+            } else if step % 53 == 0 {
+                dev.crash_torn(&mut StdRng::seed_from_u64(step as u64));
+                p = PmPool::open(Arc::clone(&dev));
+                assert_holds(&p, &model);
+            }
+        }
+        let written = dev.stats.bytes_written.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(written > 20 * 4096, "the ring must wrap many times");
         dev.crash();
-        let p2 = PmPool::open(dev);
-        assert_eq!(p2.len(), 20, "active half must be untouched by aborted compaction");
-        assert_eq!(p2.get(7).unwrap(), b"value-7");
+        assert_holds(&PmPool::open(dev), &model);
     }
 
     #[test]
-    fn full_pool_compacts_automatically() {
-        let dev = Arc::new(PmDevice::new(PmDeviceConfig {
-            capacity: 16 * 1024,
-            ..Default::default()
-        }));
-        let p = PmPool::create(dev);
-        // Keep overwriting one key: log grows, but compaction reclaims it.
-        for i in 0..500 {
-            p.put(1, format!("value number {i}").as_bytes()).unwrap();
+    fn records_of_an_earlier_lap_are_never_replayed() {
+        // Equal-sized transactions line up lap after lap, so the bytes past
+        // an interrupted transaction are whole, CRC-valid records of older
+        // transactions.
+        let (dev, p) = small_pool(4096);
+        let mut model = HashMap::new();
+        for i in 0..200u32 {
+            let v = format!("value-{i:04}").into_bytes();
+            p.put((i % 4) as u128, &v).unwrap();
+            model.insert((i % 4) as u128, v);
         }
-        assert_eq!(p.get(1).unwrap(), b"value number 499");
+        {
+            // A transaction whose op record is durable but whose commit
+            // record never got written.
+            let st = p.state.lock();
+            let rec = encode_record(st.next_txid, KIND_PUT, 99, b"value-9999");
+            dev.write(st.tail, &rec).unwrap();
+            dev.persist(st.tail, rec.len()).unwrap();
+        }
+        dev.crash();
+        assert_holds(&PmPool::open(dev), &model);
+    }
+
+    #[test]
+    fn txids_keep_rising_after_an_empty_log_recovers() {
+        // Laps of equal-sized transactions (an empty put is as long as a
+        // delete), then an empty log made durable: replay finds nothing,
+        // yet the ring still holds whole records of older laps.
+        let (dev, p) = small_pool(4096);
+        for i in 0..200u32 {
+            p.put((i % 4) as u128, b"").unwrap();
+        }
+        for k in 0..4u128 {
+            p.delete(k).unwrap();
+        }
+        p.compact().unwrap();
+        dev.crash();
+        let p = PmPool::open(Arc::clone(&dev));
+        assert!(p.is_empty());
+        // Key 0 again: older laps end by deleting it.
+        p.put(0, b"").unwrap();
+        {
+            // Interrupted transaction: op record durable, commit missing.
+            let st = p.state.lock();
+            let rec = encode_record(st.next_txid, KIND_PUT, 99, b"");
+            dev.write(st.tail, &rec).unwrap();
+            dev.persist(st.tail, rec.len()).unwrap();
+        }
+        dev.crash();
+        let model = HashMap::from([(0u128, Vec::new())]);
+        assert_holds(&PmPool::open(dev), &model);
+    }
+
+    #[test]
+    fn full_ring_of_live_keys_returns_pool_full() {
+        let (dev, p) = small_pool(8192);
+        let mut model = HashMap::new();
+        let mut k = 0u128;
+        loop {
+            let v = vec![k as u8; 200];
+            match p.put(k, &v) {
+                Ok(()) => {
+                    model.insert(k, v);
+                    k += 1;
+                }
+                Err(e) => {
+                    assert_eq!(e, PoolError::PoolFull);
+                    break;
+                }
+            }
+        }
+        assert!(k > 20, "the ring holds a few dozen records, got {k}");
+        assert_holds(&p, &model);
+        // Freeing room makes puts succeed again.
+        for k in 0..5u128 {
+            p.delete(k).unwrap();
+            model.remove(&k);
+        }
+        p.put(999, &[9; 200]).unwrap();
+        model.insert(999, vec![9; 200]);
+        dev.crash();
+        assert_holds(&PmPool::open(dev), &model);
+    }
+
+    #[test]
+    fn fifo_workload_writes_at_most_four_device_bytes_per_user_byte() {
+        let (dev, p) = small_pool(1 << 20);
+        let value = [0x5Au8; 256];
+        let n = 20_000u128;
+        for k in 0..n {
+            p.put(k, &value).unwrap();
+            if k >= 64 {
+                p.delete(k - 64).unwrap();
+            }
+        }
+        let user = n as u64 * value.len() as u64;
+        assert!(user > 4 << 20, "the ring must wrap several times");
+        let device = dev.stats.bytes_written.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            device <= 4 * user,
+            "wrote {device} device bytes for {user} user bytes"
+        );
+        assert_eq!(p.len(), 64);
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!   inserted into the cache, archive read-throughs deliberately are NOT
 //!   (a replay-from-genesis scan must not evict the hot working set — the
 //!   archive keeps a one-segment read buffer per color instead);
-//! * when live PM bytes exceed the configured watermark, the oldest
-//!   committed prefix is spilled to the SSD tier (fsync before the PM
-//!   delete, so a crash can duplicate a record across tiers but never lose
-//!   it);
+//! * when live PM bytes exceed the configured watermark, the globally
+//!   oldest PM-resident committed records are spilled to the SSD tier
+//!   (fsync before the PM delete, so a crash can duplicate a record across
+//!   tiers but never lose it). Victims come off a commit-order queue, so PM
+//!   deletes in about write order and the pool's circular log reclaims its
+//!   head without copying;
 //! * with a [`TierConfig`] attached, [`StorageServer::trim`] becomes
 //!   **archive-then-drop**: the to-be-trimmed span is sealed into immutable
 //!   checksummed segments and uploaded to the shared object store *before*
@@ -44,6 +46,8 @@
 //! * the token maps (staged + committed idempotence) are a separate small
 //!   lock touched only at stage/commit boundaries;
 //! * `pm_live_bytes` is a lock-free atomic;
+//! * the PM-resident queue is its own lock, taken with no stripe held;
+//!   the victim picker takes stripe locks (one at a time) under it;
 //! * the `archive_gate` serializes archive rounds against trims (an
 //!   upload-then-drop two-step must never interleave with a concurrent
 //!   trim's drop) and is always the outermost lock — nothing is held when
@@ -57,7 +61,7 @@
 //! pool has its own internal lock below all of these.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -352,6 +356,9 @@ pub struct StorageServer {
     tokens: Mutex<TokenIndex>,
     /// Approximate live payload bytes resident in PM.
     pm_live_bytes: AtomicUsize,
+    /// Committed records in PM, in commit order; records that left PM by
+    /// trim, demote or discard leave stale entries, skipped when met.
+    pm_queue: Mutex<VecDeque<(ColorId, SeqNum)>>,
     /// Serializes spill rounds (the SSD-copy/PM-delete two-step must not
     /// interleave with itself); stripe/cache locks are taken inside.
     spill_gate: Mutex<()>,
@@ -425,6 +432,7 @@ impl StorageServer {
             stripes,
             tokens: Mutex::new(TokenIndex::default()),
             pm_live_bytes: AtomicUsize::new(0),
+            pm_queue: Mutex::new(VecDeque::new()),
             spill_gate: Mutex::new(()),
             archive_gate: Mutex::new(()),
             archive: Mutex::new(ArchiveState::default()),
@@ -446,6 +454,8 @@ impl StorageServer {
         let mut tokens = TokenIndex::default();
         let mut heads: HashMap<ColorId, SeqNum> = HashMap::new();
         let mut pm_live_bytes = 0usize;
+        let mut pm_queue = VecDeque::new();
+        // Keys come in log order, so the queue is rebuilt oldest first.
         for key in pool.keys() {
             let tag = key & (0xFF << 120);
             if tag == TAG_COMMITTED {
@@ -455,6 +465,7 @@ impl StorageServer {
                 pm_live_bytes += value.len();
                 let token = Token(u64::from_le_bytes(value[..8].try_into().unwrap()));
                 committed.entry(color).or_default().insert(sn, false);
+                pm_queue.push_back((color, sn));
                 // The token maps to the *last* SN of its batch; keep max.
                 let e = tokens.committed_tokens.entry(token).or_insert((color, sn));
                 if sn > e.1 {
@@ -494,6 +505,7 @@ impl StorageServer {
             stripes,
             tokens: Mutex::new(tokens),
             pm_live_bytes: AtomicUsize::new(pm_live_bytes),
+            pm_queue: Mutex::new(pm_queue),
             spill_gate: Mutex::new(()),
             archive_gate: Mutex::new(()),
             // Manifests reload lazily from the store on first archive probe;
@@ -644,6 +656,11 @@ impl StorageServer {
                 per_color.insert(*sn, false);
             }
         }
+        self.queue_pm_residents(
+            committed
+                .iter()
+                .flat_map(|(_, color, _, sns)| sns.iter().map(move |(sn, _)| (*color, *sn))),
+        );
         for (_, color, _, sns) in &committed {
             for (sn, payload) in sns {
                 // Zero-copy fill: the cache shares the staged batch's buffer.
@@ -1011,6 +1028,7 @@ impl StorageServer {
             .entry(color)
             .or_default()
             .insert(sn, false);
+        self.queue_pm_residents([(color, sn)]);
         {
             let mut idx = self.tokens.lock();
             let e = idx.committed_tokens.entry(token).or_insert((color, sn));
@@ -1585,6 +1603,52 @@ impl StorageServer {
         &self.config.obs
     }
 
+    /// Appends newly PM-resident records to the commit-order queue, and
+    /// sweeps out stale entries once they outnumber the pool's keys (trims
+    /// can keep PM under the watermark so that the spill never pops).
+    fn queue_pm_residents(&self, records: impl IntoIterator<Item = (ColorId, SeqNum)>) {
+        let mut queue = self.pm_queue.lock();
+        queue.extend(records);
+        if queue.len() > 2 * self.pool.len() + 1024 {
+            queue.retain(|&(color, sn)| self.in_pm(color, sn));
+        }
+    }
+
+    /// True if `(color, sn)` is committed and resident in PM.
+    fn in_pm(&self, color: ColorId, sn: SeqNum) -> bool {
+        self.stripe_of(color)
+            .lock()
+            .committed
+            .get(&color)
+            .and_then(|m| m.get(&sn))
+            == Some(&false)
+    }
+
+    /// The oldest PM-resident committed records (of `color` only, if
+    /// given), at most `max`: the one victim picker of the watermark spill
+    /// and the policy's demote. Stale entries are dropped at the front.
+    fn pm_victims(&self, color: Option<ColorId>, max: usize) -> Vec<(ColorId, SeqNum)> {
+        let mut queue = self.pm_queue.lock();
+        let mut victims = Vec::new();
+        let mut i = 0;
+        while i < queue.len() && victims.len() < max {
+            let (c, sn) = queue[i];
+            if !self.in_pm(c, sn) {
+                if i == 0 {
+                    queue.pop_front();
+                } else {
+                    i += 1;
+                }
+                continue;
+            }
+            if color.is_none_or(|only| only == c) {
+                victims.push((c, sn));
+            }
+            i += 1;
+        }
+        victims
+    }
+
     /// Spills the oldest committed PM-resident records to SSD when live PM
     /// bytes exceed the watermark ("a contiguous portion from the start of
     /// the log is flushed to SSD and removed from PM", §5.2).
@@ -1593,51 +1657,32 @@ impl StorageServer {
             return Ok(());
         }
         let _gate = self.spill_gate.lock();
-        loop {
-            if self.pm_live_bytes.load(Ordering::Relaxed) <= self.config.pm_watermark {
-                return Ok(());
-            }
-            // Oldest PM-resident records, per color from the start. One
-            // stripe lock at a time (never two).
-            let mut victims: Vec<(ColorId, SeqNum)> = Vec::with_capacity(self.config.spill_batch);
-            'outer: for stripe in self.stripes.iter() {
-                let stripe = stripe.lock();
-                for (&color, m) in stripe.committed.iter() {
-                    for (&sn, &on_ssd) in m.iter() {
-                        if !on_ssd {
-                            victims.push((color, sn));
-                            if victims.len() >= self.config.spill_batch {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
+        while self.pm_live_bytes.load(Ordering::Relaxed) > self.config.pm_watermark {
+            let victims = self.pm_victims(None, self.config.spill_batch);
             if victims.is_empty() {
-                return Ok(());
+                break;
             }
             self.spill_victims(&victims)?;
         }
+        Ok(())
     }
 
     /// The SSD-copy → fsync → PM-delete two-step moving the given
     /// PM-resident records down a tier. Callers hold the spill gate.
     fn spill_victims(&self, victims: &[(ColorId, SeqNum)]) -> Result<(), StorageError> {
         // 1. Copy to SSD and fsync...
+        let mut freed = 0usize;
         for &(color, sn) in victims {
             if let Some(v) = self.pool.get(committed_key(color, sn)) {
+                freed += v.len();
                 self.ssd.write_block(ssd_block_id(color, sn), &v);
             }
         }
         self.ssd.fsync();
         // 2. ...only then remove from PM (crash between the two steps
         // duplicates records across tiers; never loses them).
-        let mut freed = 0usize;
         let mut tx = self.pool.begin();
         for &(color, sn) in victims {
-            if let Some(v) = self.pool.get(committed_key(color, sn)) {
-                freed += v.len();
-            }
             tx.delete(committed_key(color, sn));
         }
         tx.commit()?;
@@ -1664,18 +1709,7 @@ impl StorageServer {
     /// many records moved.
     pub fn demote_color(&self, color: ColorId, max_records: u64) -> Result<u64, StorageError> {
         let _gate = self.spill_gate.lock();
-        let victims: Vec<(ColorId, SeqNum)> = {
-            let stripe = self.stripe_of(color).lock();
-            match stripe.committed.get(&color) {
-                Some(m) => m
-                    .iter()
-                    .filter(|&(_, &on_ssd)| !on_ssd)
-                    .take(max_records.min(usize::MAX as u64) as usize)
-                    .map(|(&sn, _)| (color, sn))
-                    .collect(),
-                None => Vec::new(),
-            }
-        };
+        let victims = self.pm_victims(Some(color), max_records.try_into().unwrap_or(usize::MAX));
         if victims.is_empty() {
             return Ok(0);
         }

@@ -185,6 +185,96 @@ fn watermark_spills_oldest_to_ssd() {
     assert_eq!(hit, TierHit::Ssd);
 }
 
+/// Appends `n` 1 KiB records alternately to `colors`, logging their
+/// commit order.
+fn append_alternately(
+    s: &StorageServer,
+    colors: [ColorId; 2],
+    order: &mut Vec<(ColorId, SeqNum)>,
+    n: usize,
+) {
+    for _ in 0..n {
+        let i = order.len() as u32 + 1;
+        let color = colors[i as usize % 2];
+        s.stage(tok(i), color, &[pl(vec![i as u8; 1024])]).unwrap();
+        s.commit(tok(i), sn(i)).unwrap();
+        order.push((color, sn(i)));
+    }
+}
+
+/// Asserts the SSD holds exactly the oldest records in commit order and
+/// PM the rest, with both colors on both sides; returns how many spilled.
+fn assert_oldest_spilled(s: &StorageServer, order: &[(ColorId, SeqNum)]) -> usize {
+    s.clear_cache();
+    let tiers: Vec<TierHit> = order
+        .iter()
+        .map(|&(color, n)| s.get_traced(color, n).unwrap().1)
+        .collect();
+    let spilled = tiers.iter().take_while(|&&t| t == TierHit::Ssd).count();
+    assert!(
+        tiers[spilled..].iter().all(|&t| t == TierHit::Pm),
+        "spill must take the oldest records first: {tiers:?}"
+    );
+    for color in order.iter().map(|&(c, _)| c) {
+        assert!(order[..spilled].iter().any(|&(c, _)| c == color), "{color:?} kept its oldest in PM");
+        assert!(order[spilled..].iter().any(|&(c, _)| c == color), "{color:?} lost its newest from PM");
+    }
+    spilled
+}
+
+#[test]
+fn spill_is_oldest_first_across_colors() {
+    // Stripes 0 and 6: walking stripes in order would drain color 8 first.
+    let colors = [ColorId(8), ColorId(6)];
+    let s = StorageServer::new(StorageConfig::tiny());
+    let mut order = Vec::new();
+    append_alternately(&s, colors, &mut order, 60);
+    let before = assert_oldest_spilled(&s, &order);
+
+    let (pm, ssd) = s.devices();
+    pm.crash();
+    ssd.crash();
+    drop(s);
+    let s2 = StorageServer::recover(pm, ssd, StorageConfig::tiny());
+    while s2.stats.spilled_records.load(Ordering::Relaxed) == 0 {
+        append_alternately(&s2, colors, &mut order, 1);
+    }
+    assert!(assert_oldest_spilled(&s2, &order) > before);
+}
+
+#[test]
+fn pm_queue_stays_bounded_when_trims_keep_pm_under_the_watermark() {
+    let s = server();
+    for i in 1..=5000u32 {
+        s.stage(tok(i), RED, &[pl(vec![1u8; 16])]).unwrap();
+        s.commit(tok(i), sn(i)).unwrap();
+        s.trim(RED, sn(i)).unwrap();
+    }
+    assert_eq!(s.stats.spilled_records.load(Ordering::Relaxed), 0);
+    assert!(s.pm_queue.lock().len() <= 2 * s.pool.len() + 1024);
+}
+
+#[test]
+fn demote_takes_the_colors_oldest_pm_residents() {
+    let s = StorageServer::new(StorageConfig::default());
+    let mut order = Vec::new();
+    append_alternately(&s, [RED, GREEN], &mut order, 20);
+    assert_eq!(s.demote_color(RED, 3).unwrap(), 3);
+    s.clear_cache();
+    let red: Vec<TierHit> = order
+        .iter()
+        .filter(|&&(c, _)| c == RED)
+        .map(|&(c, n)| s.get_traced(c, n).unwrap().1)
+        .collect();
+    assert_eq!(&red[..3], &[TierHit::Ssd; 3]);
+    assert!(red[3..].iter().all(|&t| t == TierHit::Pm));
+    assert_eq!(s.ssd_resident(GREEN), 0);
+    // The next demote continues past the records already moved.
+    assert_eq!(s.demote_color(RED, 100).unwrap(), 7);
+    assert_eq!(s.ssd_resident(RED), 10);
+    assert_eq!(s.demote_color(RED, 100).unwrap(), 0);
+}
+
 #[test]
 fn trim_deletes_prefix_and_reports_head_tail() {
     let s = server();
